@@ -3,10 +3,10 @@
 //! protocol implementation in every caller.
 //!
 //! Not a general-purpose client: it speaks exactly the dialect the server
-//! emits (`Content-Length` bodies, keep-alive by default). Three layers:
+//! emits (`Content-Length` bodies, keep-alive by default). Two layers:
 //!
-//! * [`request`] — one-shot, one fresh connection per call.
-//! * [`Connection`] — a raw keep-alive connection.
+//! * [`Connection`] — a raw keep-alive connection; a one-shot request is
+//!   `Connection::connect(addr)?.request(..)`.
 //! * [`Client`] — typed `/v1` and `/v2` calls over a keep-alive
 //!   connection that transparently reconnects when the server closed it
 //!   (idle timeout, restart); API-level failures come back as
@@ -77,20 +77,6 @@ impl Connection {
     fn response_started(&mut self) -> io::Result<bool> {
         Ok(!self.reader.fill_buf()?.is_empty())
     }
-}
-
-/// One-shot request over a fresh connection.
-///
-/// # Errors
-///
-/// Returns transport errors and `InvalidData` for malformed responses.
-pub fn request(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> io::Result<(u16, String)> {
-    Connection::connect(addr)?.request(method, path, body)
 }
 
 // ------------------------------------------------------- typed client
@@ -223,7 +209,10 @@ impl Client {
         // answered, so one replay on a fresh connection is safe. Once
         // response bytes have started flowing (or on a timeout, where the
         // request may still be executing), any failure is final.
-        let stale = match conn.send(method, path, body).and_then(|()| conn.response_started()) {
+        let stale = match conn
+            .send(method, path, body)
+            .and_then(|()| conn.response_started())
+        {
             Ok(true) => {
                 let reply = read_response(&mut conn.reader);
                 if reply.is_err() {

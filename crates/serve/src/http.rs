@@ -1,6 +1,5 @@
-//! A minimal HTTP/1.1 codec: a blocking reader/writer pair for clients,
-//! plus an incremental zero-copy parser ([`parse_available`]) for the
-//! event-loop frontend.
+//! A minimal HTTP/1.1 codec for the event-loop frontend: an incremental
+//! zero-copy request parser ([`parse_available`]) and a response writer.
 //!
 //! The workspace is offline (no tokio/hyper), so the server hand-rolls the
 //! protocol the same way `photonn-fft` hand-rolls its worker pool: just
@@ -8,15 +7,15 @@
 //! `Content-Length` bodies, keep-alive by default, explicit size limits on
 //! every input so a hostile peer cannot balloon memory.
 //!
-//! The incremental parser works over whatever bytes a non-blocking read
-//! has accumulated so far: it either yields a [`RequestRef`] **borrowing**
-//! the connection buffer (method, path, headers, and body are slices — no
+//! The parser works over whatever bytes a non-blocking read has
+//! accumulated so far: it either yields a [`RequestRef`] **borrowing** the
+//! connection buffer (method, path, headers, and body are slices — no
 //! copies before the JSON decode that feeds the planar batch stack),
 //! reports [`ParseOutcome::Partial`] to wait for more bytes, or fails with
 //! a [`ProtocolError`] that carries the request path when known, so the
 //! server can answer in the right API dialect before closing.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 
 /// Upper bound on the request line and on any single header line.
 const MAX_LINE_BYTES: usize = 8 * 1024;
@@ -24,103 +23,6 @@ const MAX_LINE_BYTES: usize = 8 * 1024;
 const MAX_HEADERS: usize = 64;
 /// Upper bound on a request body (a 200×200 float image is ~1 MB of JSON).
 pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
-
-/// A parsed HTTP request.
-#[derive(Clone, Debug)]
-pub struct Request {
-    /// Method verb (`GET`, `POST`, …), uppercase as sent.
-    pub method: String,
-    /// Request target path (query string included, if any).
-    pub path: String,
-    /// Header name/value pairs in arrival order (names lower-cased).
-    pub headers: Vec<(String, String)>,
-    /// Raw request body (empty when no `Content-Length` was sent).
-    pub body: Vec<u8>,
-}
-
-impl Request {
-    /// First header value for a (case-insensitive) name.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// `true` when the peer asked to close the connection after this
-    /// exchange (`Connection: close`); HTTP/1.1 defaults to keep-alive.
-    pub fn wants_close(&self) -> bool {
-        self.header("connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
-    }
-}
-
-/// Reads one request from the stream.
-///
-/// Returns `Ok(None)` on a clean end-of-stream before any byte of a new
-/// request (the peer closed a keep-alive connection).
-///
-/// # Errors
-///
-/// `io::ErrorKind::InvalidData` for protocol violations (malformed request
-/// line, oversized lines/body, bad `Content-Length`). A read timeout is
-/// passed through as `WouldBlock`/`TimedOut` **only when no byte of the
-/// request was consumed yet** (an idle keep-alive connection — callers use
-/// it to poll a shutdown flag); once parsing has consumed bytes, a timeout
-/// becomes `InvalidData`, because retrying from mid-stream would desync
-/// the connection.
-pub fn read_request(reader: &mut impl BufRead) -> io::Result<Option<Request>> {
-    let line = match read_line(reader, true)? {
-        None => return Ok(None),
-        Some(line) => line,
-    };
-    let mut parts = line.split_whitespace();
-    let (method, path, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(p), Some(v), None) => (m.to_string(), p.to_string(), v),
-        _ => return Err(bad_data("malformed request line")),
-    };
-    if !version.starts_with("HTTP/1.") {
-        return Err(bad_data("unsupported HTTP version"));
-    }
-
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line(reader, false)
-            .map_err(fatal_timeout)?
-            .ok_or_else(|| bad_data("eof in headers"))?;
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err(bad_data("too many headers"));
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| bad_data("malformed header"))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-
-    let request = Request {
-        method,
-        path,
-        headers,
-        body: Vec::new(),
-    };
-    let body = match request.header("content-length") {
-        None => Vec::new(),
-        Some(text) => {
-            let length: usize = text.parse().map_err(|_| bad_data("bad content-length"))?;
-            if length > MAX_BODY_BYTES {
-                return Err(bad_data("body too large"));
-            }
-            let mut body = vec![0u8; length];
-            reader.read_exact(&mut body).map_err(fatal_timeout)?;
-            body
-        }
-    };
-    Ok(Some(Request { body, ..request }))
-}
 
 /// Writes a complete response with a string body.
 ///
@@ -161,58 +63,6 @@ pub fn reason(status: u16) -> &'static str {
         500 => "Internal Server Error",
         503 => "Service Unavailable",
         _ => "Unknown",
-    }
-}
-
-fn bad_data(message: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, message)
-}
-
-/// Once part of a request has been consumed, a read timeout can no longer
-/// be retried (the next parse would start mid-stream): reclassify it as a
-/// protocol error so the connection is answered 400 and closed.
-fn fatal_timeout(e: io::Error) -> io::Error {
-    if matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    ) {
-        bad_data("timed out mid-request")
-    } else {
-        e
-    }
-}
-
-/// Reads one CRLF- (or LF-) terminated line, without the terminator.
-/// `None` on end-of-stream before any byte when `eof_ok` is set.
-fn read_line(reader: &mut impl BufRead, eof_ok: bool) -> io::Result<Option<String>> {
-    let mut line = Vec::new();
-    loop {
-        let mut byte = [0u8; 1];
-        let n = match reader.read(&mut byte) {
-            Ok(n) => n,
-            // A timeout after part of a line was consumed cannot be
-            // retried; only a timeout at a clean boundary may pass
-            // through untouched.
-            Err(e) if !line.is_empty() => return Err(fatal_timeout(e)),
-            Err(e) => return Err(e),
-        };
-        if n == 0 {
-            if line.is_empty() && eof_ok {
-                return Ok(None);
-            }
-            return Err(bad_data("unexpected end of stream"));
-        }
-        if byte[0] == b'\n' {
-            if line.last() == Some(&b'\r') {
-                line.pop();
-            }
-            let text = String::from_utf8(line).map_err(|_| bad_data("non-UTF-8 header data"))?;
-            return Ok(Some(text));
-        }
-        line.push(byte[0]);
-        if line.len() > MAX_LINE_BYTES {
-            return Err(bad_data("line too long"));
-        }
     }
 }
 
@@ -273,7 +123,7 @@ pub enum ParseOutcome<'a> {
 pub struct ProtocolError {
     /// Suggested status: `400`, or `413` for an oversized body.
     pub status: u16,
-    /// What went wrong, phrased exactly like the blocking parser.
+    /// What went wrong; the server echoes it verbatim in the error body.
     pub message: &'static str,
     /// The request path, when the request line had already parsed —
     /// lets the server pick the v1 or v2 error dialect.
@@ -320,8 +170,9 @@ fn take_line<'a>(buf: &'a [u8], at: &mut usize) -> Result<Option<&'a str>, Proto
 /// Pure over the input slice: a `Partial` outcome leaves no state behind,
 /// so the event loop simply re-parses once more bytes land (header blocks
 /// are ≤ 8 KB + 64 lines, re-scanning is noise next to a forward pass).
-/// Limits mirror the blocking parser; the body cap is a parameter because
-/// the server makes it configurable per deployment.
+/// Lines are capped at `MAX_LINE_BYTES` and headers at `MAX_HEADERS`; the
+/// body cap is a parameter because the server makes it configurable per
+/// deployment.
 ///
 /// # Errors
 ///
@@ -394,59 +245,6 @@ pub fn parse_available(buf: &[u8], max_body: usize) -> Result<ParseOutcome<'_>, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
-
-    fn parse(raw: &[u8]) -> io::Result<Option<Request>> {
-        read_request(&mut BufReader::new(raw))
-    }
-
-    #[test]
-    fn parses_post_with_body() {
-        let raw = b"POST /v1/logits HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd";
-        let req = parse(raw).unwrap().unwrap();
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.path, "/v1/logits");
-        assert_eq!(req.header("host"), Some("x"));
-        assert_eq!(req.header("HOST"), Some("x"));
-        assert_eq!(req.body, b"abcd");
-        assert!(!req.wants_close());
-    }
-
-    #[test]
-    fn parses_get_without_body_and_lf_only_lines() {
-        let raw = b"GET /healthz HTTP/1.1\nConnection: close\n\n";
-        let req = parse(raw).unwrap().unwrap();
-        assert_eq!(req.method, "GET");
-        assert!(req.body.is_empty());
-        assert!(req.wants_close());
-    }
-
-    #[test]
-    fn clean_eof_yields_none() {
-        assert!(parse(b"").unwrap().is_none());
-    }
-
-    #[test]
-    fn malformed_inputs_rejected() {
-        for raw in [
-            &b"GARBAGE\r\n\r\n"[..],
-            &b"GET /x HTTP/2\r\n\r\n"[..],
-            &b"GET /x HTTP/1.1\r\nbadheader\r\n\r\n"[..],
-            &b"POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n"[..],
-            &b"POST /x HTTP/1.1\r\nContent-Length: 99\r\n\r\nshort"[..],
-        ] {
-            assert!(parse(raw).is_err(), "accepted: {raw:?}");
-        }
-    }
-
-    #[test]
-    fn oversized_body_rejected_before_allocation() {
-        let raw = format!(
-            "POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
-            MAX_BODY_BYTES + 1
-        );
-        assert!(parse(raw.as_bytes()).is_err());
-    }
 
     #[test]
     fn response_wire_format() {
@@ -465,92 +263,46 @@ mod tests {
         assert!(text.contains("Connection: close\r\n"));
     }
 
-    /// Yields `limit` bytes of `data`, then fails every read with
-    /// `WouldBlock` — a socket whose peer stalled mid-request.
-    struct Stalling<'a> {
-        data: &'a [u8],
-        at: usize,
-        limit: usize,
-    }
-
-    impl io::Read for Stalling<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            if self.at >= self.limit {
-                return Err(io::Error::new(io::ErrorKind::WouldBlock, "stall"));
-            }
-            let n = buf
-                .len()
-                .min(self.limit - self.at)
-                .min(self.data.len() - self.at);
-            buf[..n].copy_from_slice(&self.data[self.at..self.at + n]);
-            self.at += n;
-            Ok(n)
-        }
-    }
-
-    #[test]
-    fn timeout_at_request_boundary_passes_through_but_mid_request_is_fatal() {
-        let raw = b"POST /x HTTP/1.1\r\nContent-Length: 8\r\n\r\n12345678";
-        // Stall before any byte: an idle keep-alive poll, retryable.
-        let mut idle = BufReader::new(Stalling {
-            data: raw,
-            at: 0,
-            limit: 0,
-        });
-        let err = read_request(&mut idle).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
-
-        // Stall mid-request-line, mid-headers, and mid-body: retrying
-        // would parse from mid-stream, so all must become InvalidData.
-        for limit in [4, 20, raw.len() - 3] {
-            let mut stalled = BufReader::new(Stalling {
-                data: raw,
-                at: 0,
-                limit,
-            });
-            let err = read_request(&mut stalled).unwrap_err();
-            assert_eq!(
-                err.kind(),
-                io::ErrorKind::InvalidData,
-                "stall after {limit} bytes must be fatal, got {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn keep_alive_stream_yields_sequential_requests() {
-        let raw = b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n";
-        let mut reader = BufReader::new(&raw[..]);
-        assert_eq!(read_request(&mut reader).unwrap().unwrap().path, "/a");
-        assert_eq!(read_request(&mut reader).unwrap().unwrap().path, "/b");
-        assert!(read_request(&mut reader).unwrap().is_none());
-    }
-
-    // ------------------------------------------ incremental parser
-
     #[test]
     fn incremental_parse_is_partial_at_every_prefix_then_ready() {
-        let raw = b"POST /v2/logits HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcdLEFTOVER";
-        let full = raw.len() - b"LEFTOVER".len();
-        for cut in 0..full {
-            match parse_available(&raw[..cut], MAX_BODY_BYTES).unwrap() {
-                ParseOutcome::Partial => {}
-                ParseOutcome::Ready { .. } => panic!("ready at {cut} of {full} bytes"),
+        // (raw, method, path, body, wants_close); the second request has
+        // LF-only line endings and no Content-Length.
+        for (raw, method, path, body, close) in [
+            (
+                &b"POST /v2/logits HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcdLEFTOVER"[..],
+                "POST",
+                "/v2/logits",
+                &b"abcd"[..],
+                false,
+            ),
+            (
+                &b"GET /healthz HTTP/1.1\nHost: x\nConnection: close\n\nLEFTOVER"[..],
+                "GET",
+                "/healthz",
+                &b""[..],
+                true,
+            ),
+        ] {
+            let full = raw.len() - b"LEFTOVER".len();
+            for cut in 0..full {
+                match parse_available(&raw[..cut], MAX_BODY_BYTES).unwrap() {
+                    ParseOutcome::Partial => {}
+                    ParseOutcome::Ready { .. } => panic!("{path}: ready at {cut} of {full} bytes"),
+                }
             }
-        }
-        match parse_available(raw, MAX_BODY_BYTES).unwrap() {
-            ParseOutcome::Ready { request, consumed } => {
-                assert_eq!(consumed, full, "must not consume pipelined follower bytes");
-                assert_eq!(request.method, "POST");
-                assert_eq!(request.path, "/v2/logits");
-                assert_eq!(request.header("HOST"), Some("x"));
-                assert_eq!(request.body, b"abcd");
-                assert!(!request.wants_close());
+            match parse_available(raw, MAX_BODY_BYTES).unwrap() {
+                ParseOutcome::Ready { request, consumed } => {
+                    assert_eq!(consumed, full, "must not consume pipelined follower bytes");
+                    assert_eq!(request.method, method);
+                    assert_eq!(request.path, path);
+                    assert_eq!(request.header("HOST"), Some("x"));
+                    assert_eq!(request.body, body);
+                    assert_eq!(request.wants_close(), close, "{path}");
+                }
+                other => panic!("expected ready: {other:?}"),
             }
-            other => panic!("expected ready: {other:?}"),
         }
     }
-
     #[test]
     fn incremental_parse_pipelined_requests_consume_exactly() {
         let raw = b"GET /a HTTP/1.1\r\n\r\nPOST /b HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi";
@@ -573,6 +325,11 @@ mod tests {
 
     #[test]
     fn incremental_parse_rejects_protocol_violations() {
+        let mut too_many_headers = b"GET /v1/many HTTP/1.1\r\n".to_vec();
+        for i in 0..=MAX_HEADERS {
+            too_many_headers.extend_from_slice(format!("X-H{i}: v\r\n").as_bytes());
+        }
+        too_many_headers.extend_from_slice(b"\r\n");
         for (raw, message) in [
             (&b"GARBAGE\r\n\r\n"[..], "malformed request line"),
             (&b"GET /x HTTP/2\r\n\r\n"[..], "unsupported HTTP version"),
@@ -584,6 +341,7 @@ mod tests {
                 &b"POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n"[..],
                 "bad content-length",
             ),
+            (&too_many_headers[..], "too many headers"),
         ] {
             let err = parse_available(raw, MAX_BODY_BYTES).unwrap_err();
             assert_eq!(err.message, message);
@@ -593,6 +351,8 @@ mod tests {
         let err =
             parse_available(b"GET /v2/x HTTP/1.1\r\nbad\r\n\r\n", MAX_BODY_BYTES).unwrap_err();
         assert_eq!(err.path.as_deref(), Some("/v2/x"));
+        let err = parse_available(&too_many_headers, MAX_BODY_BYTES).unwrap_err();
+        assert_eq!(err.path.as_deref(), Some("/v1/many"));
     }
 
     #[test]

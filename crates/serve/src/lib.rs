@@ -24,13 +24,12 @@
 //! |---|---|
 //! | [`json`] | hand-rolled JSON codec (bit-exact `f64` round-trips), shared via `photonn-wire` |
 //! | [`poll`] | minimal `epoll`/`poll(2)` readiness shim + cross-thread waker (the crate's only `unsafe`) |
-//! | [`http`] | minimal HTTP/1.1: blocking codec for clients + incremental zero-copy parser for the event loop |
+//! | [`http`] | minimal HTTP/1.1: incremental zero-copy request parser for the event loop + response writer |
 //! | [`metrics`] | queue depth, batch-size histogram, p50/p99 latency, per-shard steal/shed counters |
 //! | [`cache`] | memory-budgeted LRU over the mask-independent first hop |
 //! | [`registry`] | named model variants: ideal / quantized / deployed / noise-injected |
 //! | [`head`] | selectable readout heads: region sums or differential detection |
-//! | [`shard`] | sharded dispatch: per-model queues, work-stealing, admission control |
-//! | [`batcher`] | the classic dynamic micro-batcher API, now a 1-shard façade over [`shard`] |
+//! | [`shard`] | sharded dispatch: [`BatchPolicy`], per-model queues, work-stealing, admission control |
 //! | [`server`] | the event-loop frontend: [`ServerBuilder`], `/v1` + `/v2` routing, graceful drain |
 //!
 //! Because the batched engine is per-sample deterministic across batch
@@ -64,7 +63,6 @@
 #![deny(unsafe_code)] // confined: `poll` opts back in at module level
 #![warn(missing_docs)]
 
-pub mod batcher;
 pub mod cache;
 pub mod client;
 pub mod head;
@@ -80,11 +78,11 @@ pub mod shard;
 // (and every existing caller) working unchanged.
 pub use photonn_wire::json;
 
-pub use batcher::{BatchPolicy, Batcher, SubmitError};
 pub use cache::FirstHopCache;
 pub use client::{ApiError, BatchInference, Client, ClientError, Inference};
 pub use head::ReadoutHead;
 pub use json::Json;
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use registry::{ModelRegistry, ServedModel, VariantKind};
-pub use server::{ServeConfig, Server, ServerBuilder, ServerConfig, ServerHandle};
+pub use server::{ServeConfig, ServerBuilder, ServerHandle};
+pub use shard::{BatchPolicy, SubmitError};

@@ -26,7 +26,6 @@
 #![allow(unsafe_code)]
 
 use std::io;
-use std::net::TcpStream;
 use std::os::fd::{AsRawFd, RawFd};
 use std::time::Duration;
 
@@ -489,12 +488,6 @@ impl Clone for WakeHandle {
             tx: self.tx.try_clone().expect("clone waker stream"),
         }
     }
-}
-
-/// Registers a plain `TcpStream`'s descriptor — the common case, kept as
-/// a helper so call sites do not repeat the `AsRawFd` dance.
-pub fn fd_of(stream: &TcpStream) -> RawFd {
-    stream.as_raw_fd()
 }
 
 // --------------------------------------------------------------- rlimits

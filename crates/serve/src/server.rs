@@ -27,7 +27,6 @@
 //!   selection, and structured errors
 //!   (`{"code", "message", "retry_after_ms"}`).
 
-use crate::batcher::{BatchPolicy, SubmitError};
 use crate::cache::FirstHopCache;
 use crate::head::ReadoutHead;
 use crate::http::{parse_available, write_response, ParseOutcome, ProtocolError, RequestRef};
@@ -35,7 +34,9 @@ use crate::json::Json;
 use crate::metrics::Metrics;
 use crate::poll::{Interest, Poller, WakeHandle, Waker};
 use crate::registry::ModelRegistry;
-use crate::shard::{Completion, CompletionHandle, CompletionSink, Reply, ShardPool};
+use crate::shard::{
+    BatchPolicy, Completion, CompletionHandle, CompletionSink, Reply, ShardPool, SubmitError,
+};
 use photonn_donn::argmax;
 use photonn_math::Grid;
 use std::collections::VecDeque;
@@ -103,26 +104,6 @@ impl Default for ServeConfig {
             retry_after_ms: 50,
             max_connections: 8192,
             max_body_bytes: crate::http::MAX_BODY_BYTES,
-        }
-    }
-}
-
-/// Legacy server construction options, kept so pre-redesign callers
-/// compile unchanged. [`ServerBuilder`] exposes the full surface.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ServerConfig {
-    /// Dispatcher coalescing policy.
-    pub policy: BatchPolicy,
-    /// Input-hop cache budget in bytes; `0` disables the cache.
-    pub cache_budget_bytes: usize,
-}
-
-impl Default for ServerConfig {
-    /// Default policy with a 64 MiB input-hop cache.
-    fn default() -> Self {
-        ServerConfig {
-            policy: BatchPolicy::default(),
-            cache_budget_bytes: 64 << 20,
         }
     }
 }
@@ -267,34 +248,6 @@ impl ServerBuilder {
             wake,
             event_loop: Some(thread),
         })
-    }
-}
-
-/// The inference server's legacy constructor namespace.
-pub struct Server;
-
-impl Server {
-    /// Binds `addr` and starts serving `registry` under the legacy
-    /// `config` — a thin shim over [`ServerBuilder`], kept so
-    /// pre-redesign call sites compile unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Returns any socket error from binding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the registry is empty or the policy is degenerate.
-    #[deprecated(note = "use ServerBuilder for the full v2 surface")]
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        registry: ModelRegistry,
-        config: ServerConfig,
-    ) -> io::Result<ServerHandle> {
-        ServerBuilder::new(registry)
-            .policy(config.policy)
-            .cache_budget_bytes(config.cache_budget_bytes)
-            .bind(addr)
     }
 }
 
@@ -493,7 +446,7 @@ impl EventLoop {
                         io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
                     ) =>
                 {
-                    continue // transient: the next accept may succeed
+                    continue; // transient: the next accept may succeed
                 }
                 Err(_) => {
                     // Persistent failure (typically EMFILE/ENFILE when fd
@@ -835,8 +788,8 @@ fn protocol_error_response(violation: &ProtocolError) -> Response {
             close: true,
         }
     } else {
-        // The legacy surface answered every protocol violation 400 with
-        // the plain error body — pinned behavior.
+        // `/v1` answers every protocol violation 400 with the plain error
+        // body — pinned by the byte-compat fixtures.
         Response {
             status: 400,
             body: error_body(violation.message),
@@ -966,12 +919,13 @@ fn v1_infer(
         Ok(model) => Arc::clone(model),
         Err(e) => return ready(404, error_body(&e.to_string()), close),
     };
-    let handle = CompletionHandle::batch(sink, token, slot, 1)
-        .pop()
-        .expect("one handle");
+    let replies = CompletionHandle::batch(sink, token, slot, 1)
+        .into_iter()
+        .map(Reply::Completion)
+        .collect();
     match core
         .pool
-        .submit(&model, ReadoutHead::Sum, image, Reply::Completion(handle))
+        .submit(&model, ReadoutHead::Sum, vec![image], replies)
     {
         // Counted only on acceptance, as MetricsSnapshot documents;
         // refusals are visible in the 4xx/429 counters.
@@ -1064,7 +1018,7 @@ fn v2_infer(
         .into_iter()
         .map(Reply::Completion)
         .collect();
-    match core.pool.submit_batch(&model, head, images, replies) {
+    match core.pool.submit(&model, head, images, replies) {
         Ok(()) => {
             core.metrics.record_request();
             SlotState::Pending(Pending {

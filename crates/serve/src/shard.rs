@@ -16,13 +16,11 @@
 //! [`SubmitError::QueueFull`], which the HTTP layer answers as 429 with a
 //! `retry_after_ms` hint.
 //!
-//! Replies fan out two ways: an [`mpsc`] channel per job (the classic
-//! [`crate::batcher::Batcher`] path, which is now a 1-shard façade over
-//! this module), or a [`CompletionSink`] shared with the event loop —
-//! batches aggregate per-request, then one completion record lands on the
-//! sink and the loop's waker is rung.
+//! Replies fan out two ways: an [`mpsc`] channel per job, or a
+//! [`CompletionSink`] shared with the event loop — batches aggregate
+//! per-request, then one completion record lands on the sink and the
+//! loop's waker is rung.
 
-use crate::batcher::{BatchPolicy, SubmitError};
 use crate::cache::FirstHopCache;
 use crate::head::ReadoutHead;
 use crate::metrics::{Metrics, ShardCounters};
@@ -30,6 +28,7 @@ use crate::poll::WakeHandle;
 use crate::registry::{ModelRegistry, ServedModel};
 use photonn_math::{BatchCGrid, BatchGrid, CGrid, Grid};
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -42,6 +41,90 @@ const MAX_DEGRADE_LEVEL: usize = 3;
 const ADMISSION_WINDOW: usize = 256;
 /// Observations between admission-level recomputations.
 const ADMISSION_STRIDE: u64 = 32;
+
+// -------------------------------------------------------------- policy
+
+/// Coalescing and capacity policy of the dispatcher.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BatchPolicy {
+    /// Largest number of requests fused into one batch.
+    pub max_batch: usize,
+    /// Longest time the head request may wait for co-travelers, in
+    /// microseconds. `0` dispatches immediately (batch size becomes
+    /// whatever already queued).
+    pub max_wait_us: u64,
+    /// Bounded-queue capacity, checked at submit against the depth of
+    /// the request's home shard: a submission that would push that depth
+    /// past it is refused. Work-stealing moves jobs off the home shard,
+    /// so the queue across the whole pool can reach shards × capacity
+    /// (a known gap: see the global serve-bounds blocker in ROADMAP.md).
+    pub queue_capacity: usize,
+    /// FFT worker threads per dispatched batch (`0` is treated as 1).
+    pub threads: usize,
+}
+
+impl Default for BatchPolicy {
+    /// A balanced default: coalesce up to 16 requests for at most 2 ms,
+    /// queue at most 256, and use up to 8 cores.
+    fn default() -> Self {
+        BatchPolicy {
+            max_batch: 16,
+            max_wait_us: 2_000,
+            queue_capacity: 256,
+            threads: std::thread::available_parallelism().map_or(2, |p| p.get().min(8)),
+        }
+    }
+}
+
+impl BatchPolicy {
+    /// The no-batching baseline: every request dispatches alone.
+    pub fn unbatched() -> Self {
+        BatchPolicy {
+            max_batch: 1,
+            max_wait_us: 0,
+            ..BatchPolicy::default()
+        }
+    }
+
+    fn validate(&self) {
+        assert!(self.max_batch > 0, "max_batch must be positive");
+        assert!(self.queue_capacity > 0, "queue_capacity must be positive");
+    }
+}
+
+/// Why a submission was refused.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SubmitError {
+    /// The bounded queue is at capacity (HTTP 429).
+    QueueFull,
+    /// No model with this name is registered (HTTP 404).
+    UnknownModel(String),
+    /// The image does not match the model's grid (HTTP 400).
+    ShapeMismatch {
+        /// Expected side length.
+        expected: usize,
+        /// Received shape.
+        got: (usize, usize),
+    },
+    /// The pool is shutting down (HTTP 503).
+    ShuttingDown,
+}
+
+impl fmt::Display for SubmitError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SubmitError::QueueFull => write!(f, "queue full"),
+            SubmitError::UnknownModel(name) => write!(f, "unknown model '{name}'"),
+            SubmitError::ShapeMismatch { expected, got } => write!(
+                f,
+                "image shape {got:?} does not match the {expected}x{expected} grid"
+            ),
+            SubmitError::ShuttingDown => write!(f, "server is shutting down"),
+        }
+    }
+}
+
+impl std::error::Error for SubmitError {}
 
 // ------------------------------------------------------------- replies
 
@@ -148,7 +231,7 @@ impl CompletionHandle {
 
 /// How a job's logits travel back to the requester.
 pub enum Reply {
-    /// A per-job channel (the blocking [`crate::batcher::Batcher`] path).
+    /// A per-job channel, for callers that block on the result.
     Channel(mpsc::Sender<Vec<f64>>),
     /// An event-loop completion (one sample of a `/v1` or `/v2` request).
     Completion(CompletionHandle),
@@ -375,75 +458,12 @@ impl ShardPool {
         }
     }
 
-    /// Enqueues one sample for `model` under `head`; `reply` receives the
-    /// logits once its batch has run.
-    ///
-    /// # Errors
-    ///
-    /// See [`SubmitError`]; the job is refused *before* queueing in every
-    /// error case.
-    pub fn submit(
-        &self,
-        model: &Arc<ServedModel>,
-        head: ReadoutHead,
-        image: Grid,
-        reply: Reply,
-    ) -> Result<(), SubmitError> {
-        let n = model.grid();
-        if image.shape() != (n, n) {
-            return Err(SubmitError::ShapeMismatch {
-                expected: n,
-                got: image.shape(),
-            });
-        }
-        let index = self.route(model.name());
-        let shard = &self.inner.shards[index];
-        let depth_after;
-        {
-            let mut state = shard.state.lock().expect("shard lock");
-            if state.shutdown {
-                return Err(SubmitError::ShuttingDown);
-            }
-            if state.depth >= self.inner.policy.queue_capacity {
-                return Err(SubmitError::QueueFull);
-            }
-            let job = Job {
-                model: Arc::clone(model),
-                head,
-                image,
-                reply,
-                enqueued: Instant::now(),
-            };
-            match state
-                .groups
-                .iter_mut()
-                .find(|g| Arc::ptr_eq(&g.model, model))
-            {
-                Some(group) => group.jobs.push_back(job),
-                None => state.groups.push_back(ModelGroup {
-                    model: Arc::clone(model),
-                    jobs: VecDeque::from([job]),
-                }),
-            }
-            state.depth += 1;
-            depth_after = state.depth;
-            self.inner.counters[index]
-                .queue_depth
-                .store(state.depth, Ordering::Relaxed);
-            let total = self.inner.total_depth.fetch_add(1, Ordering::Relaxed) + 1;
-            self.inner.metrics.set_queue_depth(total);
-        }
-        self.inner.metrics.record_model_request(model.name());
-        shard.wake.notify_all();
-        self.ping_idle_peers(index, depth_after);
-        Ok(())
-    }
-
-    /// Enqueues a whole batch of samples for `model` under `head`
-    /// atomically: either every sample is admitted or none is. This is
-    /// the `/v2` batched-inputs entry point — all-or-nothing admission
-    /// keeps a multi-sample request from half-landing when the queue is
-    /// near capacity (which would strand its completion aggregation).
+    /// Enqueues a batch of samples for `model` under `head` atomically:
+    /// either every sample is admitted or none is; each reply receives its
+    /// sample's logits once that sample's batch has run. A `/v1` request
+    /// is a one-sample batch. All-or-nothing admission keeps a
+    /// multi-sample `/v2` request from half-landing when the queue is near
+    /// capacity (which would strand its completion aggregation).
     ///
     /// # Errors
     ///
@@ -452,7 +472,7 @@ impl ShardPool {
     /// # Panics
     ///
     /// Panics when `images` and `replies` disagree in length or are empty.
-    pub fn submit_batch(
+    pub fn submit(
         &self,
         model: &Arc<ServedModel>,
         head: ReadoutHead,
@@ -624,12 +644,22 @@ fn next_batch(pool: &PoolInner, index: usize) -> Option<Vec<Job>> {
         let mut full: Option<usize> = None;
         for (i, group) in state.groups.iter().enumerate() {
             let head = group.jobs.front().expect("non-empty group").enqueued;
-            if head < state.groups[oldest].jobs.front().expect("non-empty group").enqueued {
+            if head
+                < state.groups[oldest]
+                    .jobs
+                    .front()
+                    .expect("non-empty group")
+                    .enqueued
+            {
                 oldest = i;
             }
             if group.jobs.len() >= max_batch
                 && full.is_none_or(|f| {
-                    head < state.groups[f].jobs.front().expect("non-empty group").enqueued
+                    head < state.groups[f]
+                        .jobs
+                        .front()
+                        .expect("non-empty group")
+                        .enqueued
                 })
             {
                 full = Some(i);
@@ -862,6 +892,35 @@ mod tests {
         }
     }
 
+    /// Submits `images` as one batch under `head` with a channel reply per
+    /// image; the receivers yield the logits in input order.
+    fn submit_with_channels(
+        pool: &ShardPool,
+        model: &Arc<ServedModel>,
+        head: ReadoutHead,
+        images: Vec<Grid>,
+    ) -> Result<Vec<mpsc::Receiver<Vec<f64>>>, SubmitError> {
+        let (replies, receivers) = images
+            .iter()
+            .map(|_| {
+                let (tx, rx) = mpsc::channel();
+                (Reply::Channel(tx), rx)
+            })
+            .unzip();
+        pool.submit(model, head, images, replies)
+            .map(|()| receivers)
+    }
+
+    /// Resolves `model_name` and submits one image under the sum head.
+    fn submit_one(
+        pool: &ShardPool,
+        model_name: Option<&str>,
+        image: Grid,
+    ) -> Result<mpsc::Receiver<Vec<f64>>, SubmitError> {
+        let model = Arc::clone(pool.resolve(model_name)?);
+        Ok(submit_with_channels(pool, &model, ReadoutHead::Sum, vec![image])?.remove(0))
+    }
+
     #[test]
     fn multi_shard_pool_serves_bit_identical_logits() {
         let (reg, donn) = registry();
@@ -870,13 +929,7 @@ mod tests {
         let imgs = images(12);
         let receivers: Vec<_> = imgs
             .iter()
-            .map(|img| {
-                let model = pool.resolve(None).unwrap().clone();
-                let (tx, rx) = mpsc::channel();
-                pool.submit(&model, ReadoutHead::Sum, img.clone(), Reply::Channel(tx))
-                    .unwrap();
-                rx
-            })
+            .map(|img| submit_one(&pool, None, img.clone()).unwrap())
             .collect();
         for (img, rx) in imgs.iter().zip(receivers) {
             assert_eq!(
@@ -886,6 +939,230 @@ mod tests {
             );
         }
         assert_eq!(pool.queue_depth(), 0);
+        assert_eq!(metrics.snapshot().queue_depth, 0);
+    }
+
+    #[test]
+    fn coalescing_respects_max_batch() {
+        let (reg, _) = registry();
+        let metrics = Arc::new(Metrics::new());
+        // Generous wait so the dispatcher *wants* to coalesce everything;
+        // max_batch must still cap every dispatched group at 2.
+        let pool = ShardPool::new(reg, policy(2, 50_000), 1, None, Arc::clone(&metrics), 0);
+        let imgs = images(5);
+        let receivers: Vec<_> = imgs
+            .iter()
+            .map(|img| submit_one(&pool, None, img.clone()).unwrap())
+            .collect();
+        for rx in receivers {
+            rx.recv().unwrap();
+        }
+        let snap = metrics.snapshot();
+        assert_eq!(snap.batch_hist.iter().sum::<u64>(), snap.batches_total);
+        assert!(snap.max_batch_observed <= 2, "max_batch violated");
+        assert!(snap.batches_total >= 3, "5 jobs need >= 3 batches of <= 2");
+        // Every job was dispatched exactly once.
+        let jobs: u64 = snap.batch_hist[0] + 2 * snap.batch_hist[1];
+        assert_eq!(jobs, 5);
+    }
+
+    #[test]
+    fn max_wait_dispatches_partial_batches() {
+        let (reg, donn) = registry();
+        let metrics = Arc::new(Metrics::new());
+        // max_batch far above traffic: only the deadline can trigger.
+        let pool = ShardPool::new(reg, policy(64, 20_000), 1, None, metrics, 0);
+        let img = images(1).remove(0);
+        let start = Instant::now();
+        let rx = submit_one(&pool, None, img.clone()).unwrap();
+        let logits = rx.recv().unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(logits, donn.logits(&img));
+        assert!(
+            elapsed >= Duration::from_micros(10_000),
+            "dispatched before the deadline could have elapsed: {elapsed:?}"
+        );
+        assert!(elapsed < Duration::from_secs(5), "deadline never fired");
+    }
+
+    #[test]
+    fn bounded_queue_refuses_beyond_capacity() {
+        let (reg, _) = registry();
+        let metrics = Arc::new(Metrics::new());
+        let pool = ShardPool::new(
+            reg,
+            BatchPolicy {
+                max_batch: 8,
+                max_wait_us: 500_000,
+                queue_capacity: 2,
+                threads: 1,
+            },
+            1,
+            None,
+            metrics,
+            0,
+        );
+        let model = Arc::clone(pool.resolve(None).unwrap());
+        let imgs = images(3);
+        // The dispatcher waits 500 ms for a batch of 8, so admitted jobs
+        // park in the queue. One-image batches (the /v1 shape): the
+        // second fills the queue exactly, the third must bounce.
+        let rx1 = submit_one(&pool, None, imgs[0].clone()).unwrap();
+        let rx2 = submit_one(&pool, None, imgs[1].clone()).unwrap();
+        assert_eq!(
+            submit_one(&pool, None, imgs[2].clone()).unwrap_err(),
+            SubmitError::QueueFull
+        );
+        assert_eq!(pool.queue_depth(), 2);
+        // The parked jobs still complete.
+        assert_eq!(rx1.recv().unwrap().len(), 10);
+        assert_eq!(rx2.recv().unwrap().len(), 10);
+        // n-image batches (the /v2 shape) on the drained queue: one sample
+        // over capacity is refused whole, exactly capacity is admitted.
+        assert_eq!(
+            submit_with_channels(&pool, &model, ReadoutHead::Sum, imgs.clone()).unwrap_err(),
+            SubmitError::QueueFull
+        );
+        assert_eq!(pool.queue_depth(), 0, "a refused batch queued samples");
+        let receivers =
+            submit_with_channels(&pool, &model, ReadoutHead::Sum, imgs[..2].to_vec()).unwrap();
+        assert_eq!(pool.queue_depth(), 2);
+        for rx in receivers {
+            assert_eq!(rx.recv().unwrap().len(), 10);
+        }
+    }
+
+    #[test]
+    fn submit_validates_model_and_shape_upfront() {
+        let (reg, _) = registry();
+        let pool = ShardPool::new(reg, policy(4, 100), 1, None, Arc::new(Metrics::new()), 0);
+        assert_eq!(
+            submit_one(&pool, Some("nope"), Grid::zeros(32, 32)).unwrap_err(),
+            SubmitError::UnknownModel("nope".into())
+        );
+        assert_eq!(
+            submit_one(&pool, None, Grid::zeros(16, 16)).unwrap_err(),
+            SubmitError::ShapeMismatch {
+                expected: 32,
+                got: (16, 16)
+            }
+        );
+    }
+
+    #[test]
+    fn shutdown_drains_parked_jobs_then_refuses() {
+        let (reg, donn) = registry();
+        let pool = ShardPool::new(
+            reg,
+            policy(64, 1_000_000),
+            1,
+            None,
+            Arc::new(Metrics::new()),
+            0,
+        );
+        let imgs = images(3);
+        let receivers: Vec<_> = imgs
+            .iter()
+            .map(|img| submit_one(&pool, None, img.clone()).unwrap())
+            .collect();
+        // Shutdown before the 1 s coalescing deadline: the drain must
+        // still answer every parked job.
+        pool.shutdown();
+        for (img, rx) in imgs.iter().zip(receivers) {
+            assert_eq!(rx.recv().unwrap(), donn.logits(img));
+        }
+        assert_eq!(
+            submit_one(&pool, None, imgs[0].clone()).unwrap_err(),
+            SubmitError::ShuttingDown
+        );
+    }
+
+    #[test]
+    fn cache_path_is_bit_identical_and_counts_hits() {
+        let (reg, donn) = registry();
+        let metrics = Arc::new(Metrics::new());
+        let cache = FirstHopCache::new(64 << 20);
+        let pool = ShardPool::new(
+            reg,
+            policy(4, 2_000),
+            1,
+            Some(cache),
+            Arc::clone(&metrics),
+            0,
+        );
+        let imgs = images(4);
+        for round in 0..2 {
+            for img in &imgs {
+                let rx = submit_one(&pool, None, img.clone()).unwrap();
+                assert_eq!(rx.recv().unwrap(), donn.logits(img), "round {round}");
+            }
+        }
+        let snap = metrics.snapshot();
+        assert_eq!(snap.cache_hits + snap.cache_misses, 8);
+        assert!(
+            snap.cache_hits >= 4,
+            "second round must hit the cache: {snap:?}"
+        );
+        assert!(snap.cache_misses >= 4, "first round must miss");
+    }
+
+    #[test]
+    fn duplicate_images_within_a_batch_share_one_first_hop() {
+        let (reg, donn) = registry();
+        let metrics = Arc::new(Metrics::new());
+        let cache = FirstHopCache::new(64 << 20);
+        // Large max_wait so all submissions coalesce into one batch.
+        let pool = ShardPool::new(
+            reg,
+            policy(8, 100_000),
+            1,
+            Some(cache),
+            Arc::clone(&metrics),
+            0,
+        );
+        let img = images(1).remove(0);
+        let receivers: Vec<_> = (0..4)
+            .map(|_| submit_one(&pool, None, img.clone()).unwrap())
+            .collect();
+        let want = donn.logits(&img);
+        for rx in receivers {
+            assert_eq!(rx.recv().unwrap(), want);
+        }
+        // Per-request accounting: every request was either a cold miss
+        // (deduped into one computation when coalesced) or — if timing
+        // split the batch — a hit on the freshly cached hop.
+        let snap = metrics.snapshot();
+        assert_eq!(snap.cache_hits + snap.cache_misses, 4);
+        assert!(snap.cache_misses >= 1);
+    }
+
+    #[test]
+    fn mixed_model_traffic_groups_by_model() {
+        let mut rng = Rng::seed_from(5);
+        let donn = Donn::random(DonnConfig::scaled(32), &mut rng);
+        let mut reg = ModelRegistry::new();
+        reg.register("ideal", donn.clone());
+        reg.register_quantized("q4", &donn, 4);
+        let reg = Arc::new(reg);
+        let pool = ShardPool::new(
+            Arc::clone(&reg),
+            policy(8, 5_000),
+            1,
+            None,
+            Arc::new(Metrics::new()),
+            0,
+        );
+        let imgs = images(4);
+        let mut expect = Vec::new();
+        let mut receivers = Vec::new();
+        for (i, img) in imgs.iter().enumerate() {
+            let name = if i % 2 == 0 { "ideal" } else { "q4" };
+            expect.push(reg.get(name).unwrap().logits_batch(&[img], 1).remove(0));
+            receivers.push(submit_one(&pool, Some(name), img.clone()).unwrap());
+        }
+        for (want, rx) in expect.into_iter().zip(receivers) {
+            assert_eq!(rx.recv().unwrap(), want, "cross-model routing broke");
+        }
     }
 
     #[test]
@@ -909,19 +1186,13 @@ mod tests {
             0,
         );
         let imgs = images(16);
-        let model = pool.resolve(None).unwrap().clone();
         // Whether the idle shard wins the race against the home shard's
         // own drain depends on thread scheduling, so burst repeatedly; a
         // single stolen batch anywhere proves the mechanism.
         for round in 0..50 {
             let receivers: Vec<_> = imgs
                 .iter()
-                .map(|img| {
-                    let (tx, rx) = mpsc::channel();
-                    pool.submit(&model, ReadoutHead::Sum, img.clone(), Reply::Channel(tx))
-                        .unwrap();
-                    rx
-                })
+                .map(|img| submit_one(&pool, None, img.clone()).unwrap())
                 .collect();
             for (img, rx) in imgs.iter().zip(receivers) {
                 assert_eq!(rx.recv().unwrap(), donn.logits(img));
@@ -945,20 +1216,11 @@ mod tests {
         // so the older, non-full group parks the dispatcher.
         let pool = ShardPool::new(reg, policy(4, 2_000_000), 1, None, metrics, 0);
         let imgs = images(5);
-        let ideal = pool.resolve(Some("ideal")).unwrap().clone();
-        let q8 = pool.resolve(Some("q8")).unwrap().clone();
-        let (tx, old_rx) = mpsc::channel();
-        pool.submit(&ideal, ReadoutHead::Sum, imgs[0].clone(), Reply::Channel(tx))
-            .unwrap();
+        let old_rx = submit_one(&pool, Some("ideal"), imgs[0].clone()).unwrap();
         std::thread::sleep(Duration::from_millis(20));
         let full_rxs: Vec<_> = imgs[1..]
             .iter()
-            .map(|img| {
-                let (tx, rx) = mpsc::channel();
-                pool.submit(&q8, ReadoutHead::Sum, img.clone(), Reply::Channel(tx))
-                    .unwrap();
-                rx
-            })
+            .map(|img| submit_one(&pool, Some("q8"), img.clone()).unwrap())
             .collect();
         // The batch-sized q8 group must dispatch right away instead of
         // queueing behind ideal's far-off coalescing deadline.
@@ -989,8 +1251,8 @@ mod tests {
             pool.submit(
                 &model,
                 ReadoutHead::Sum,
-                img.clone(),
-                Reply::Completion(handle),
+                vec![img.clone()],
+                vec![Reply::Completion(handle)],
             )
             .unwrap();
         }
@@ -1056,22 +1318,13 @@ mod tests {
         let pool = ShardPool::new(reg, policy(8, 50_000), 1, None, metrics, 0);
         let img = images(1).remove(0);
         let model = pool.resolve(None).unwrap().clone();
-        let (tx_sum, rx_sum) = mpsc::channel();
-        let (tx_diff, rx_diff) = mpsc::channel();
-        pool.submit(
-            &model,
-            ReadoutHead::Sum,
-            img.clone(),
-            Reply::Channel(tx_sum),
-        )
-        .unwrap();
-        pool.submit(
-            &model,
-            ReadoutHead::Differential,
-            img.clone(),
-            Reply::Channel(tx_diff),
-        )
-        .unwrap();
+        let rx_sum = submit_with_channels(&pool, &model, ReadoutHead::Sum, vec![img.clone()])
+            .unwrap()
+            .remove(0);
+        let rx_diff =
+            submit_with_channels(&pool, &model, ReadoutHead::Differential, vec![img.clone()])
+                .unwrap()
+                .remove(0);
         let sum = rx_sum.recv().unwrap();
         let diff = rx_diff.recv().unwrap();
         assert_eq!(sum, donn.logits(&img), "sum head must stay bit-identical");

@@ -18,7 +18,7 @@
 use photonn::datasets::{Dataset, Family};
 use photonn::donn::{Donn, DonnConfig};
 use photonn::math::{Grid, Rng};
-use photonn::serve::{client, Json, ModelRegistry, Server, ServerConfig};
+use photonn::serve::{client, Json, ModelRegistry, ServerBuilder};
 use std::net::SocketAddr;
 use std::path::Path;
 
@@ -136,10 +136,13 @@ fn exchanges(addr: SocketAddr, data: &Dataset) -> Vec<(&'static str, u16, String
     ];
     // Bad JSON and bad method close or answer on a fresh connection so a
     // possibly-desynced stream never contaminates the keep-alive records.
-    let (status, text) =
-        client::request(addr, "POST", "/v1/logits", Some("{not json")).expect("bad json");
+    let (status, text) = client::Connection::connect(addr)
+        .and_then(|mut conn| conn.request("POST", "/v1/logits", Some("{not json")))
+        .expect("bad json");
     records.push(("malformed_json", status, normalize(&text)));
-    let (status, text) = client::request(addr, "PUT", "/v1/logits", Some("{}")).expect("put");
+    let (status, text) = client::Connection::connect(addr)
+        .and_then(|mut conn| conn.request("PUT", "/v1/logits", Some("{}")))
+        .expect("put");
     records.push(("method_not_allowed", status, normalize(&text)));
     records
 }
@@ -155,8 +158,9 @@ fn render(records: &[(&'static str, u16, String)]) -> String {
 #[test]
 fn v1_responses_byte_identical_to_pre_redesign_fixtures() {
     let (registry, _donn) = fixture_registry();
-    #[allow(deprecated)]
-    let mut server = Server::bind("127.0.0.1:0", registry, ServerConfig::default()).expect("bind");
+    let mut server = ServerBuilder::new(registry)
+        .bind("127.0.0.1:0")
+        .expect("bind");
     let data = Dataset::synthetic(Family::Mnist, 3, 11).resized(GRID);
     let records = exchanges(server.addr(), &data);
     server.shutdown();

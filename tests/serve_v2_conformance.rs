@@ -85,7 +85,8 @@ fn every_v2_error_path_answers_the_structured_contract() {
     let mut server = serve(&donn);
     let addr = server.addr();
     let image = Grid::full(GRID, GRID, 0.5);
-    let post = |body: &str| client::request(addr, "POST", "/v2/logits", Some(body)).expect("post");
+    let mut api = client::Client::new(addr);
+    let mut post = |body: &str| api.request("POST", "/v2/logits", Some(body)).expect("post");
 
     // Malformed JSON → 400 bad_request.
     let (status, body) = post("{not json");
@@ -121,9 +122,9 @@ fn every_v2_error_path_answers_the_structured_contract() {
     // Unknown /v2 endpoint → 404 not_found; bad method → 405
     // method_not_allowed. Both structured — /v2 never speaks the legacy
     // `{"error"}` dialect.
-    let (status, body) = client::request(addr, "GET", "/v2/nope", None).expect("get");
+    let (status, body) = api.request("GET", "/v2/nope", None).expect("get");
     assert_v2_error(status, 404, &body, "not_found");
-    let (status, body) = client::request(addr, "PUT", "/v2/logits", Some("{}")).expect("put");
+    let (status, body) = api.request("PUT", "/v2/logits", Some("{}")).expect("put");
     assert_v2_error(status, 405, &body, "method_not_allowed");
 
     server.shutdown();
@@ -138,15 +139,17 @@ fn oversized_v2_body_answers_structured_413() {
         .expect("bind");
     let big = "x".repeat(4096);
     let body = format!(r#"{{"inputs": [["{big}"]]}}"#);
-    let (status, text) =
-        client::request(server.addr(), "POST", "/v2/logits", Some(&body)).expect("post");
+    let (status, text) = client::Connection::connect(server.addr())
+        .and_then(|mut conn| conn.request("POST", "/v2/logits", Some(&body)))
+        .expect("post");
     assert_v2_error(status, 413, &text, "payload_too_large");
 
     // The same oversize against a /v1 path keeps the legacy body —
     // pinned separately by the byte-compat fixtures, asserted here for
     // the contrast.
-    let (status, text) =
-        client::request(server.addr(), "POST", "/v1/logits", Some(&body)).expect("post");
+    let (status, text) = client::Connection::connect(server.addr())
+        .and_then(|mut conn| conn.request("POST", "/v1/logits", Some(&body)))
+        .expect("post");
     assert_eq!(status, 400);
     assert!(text.contains("\"error\""), "legacy body expected: {text}");
     server.shutdown();
@@ -167,13 +170,10 @@ fn shed_answers_429_with_retry_hint() {
         .bind("127.0.0.1:0")
         .expect("bind");
     let image = Grid::full(GRID, GRID, 0.5);
-    let (status, body) = client::request(
-        server.addr(),
-        "POST",
-        "/v2/logits",
-        Some(&v2_body(None, None, &[&image, &image, &image])),
-    )
-    .expect("post");
+    let body = v2_body(None, None, &[&image, &image, &image]);
+    let (status, body) = client::Connection::connect(server.addr())
+        .and_then(|mut conn| conn.request("POST", "/v2/logits", Some(&body)))
+        .expect("post");
     let retry = assert_v2_error(status, 429, &body, "shed");
     assert_eq!(retry, Some(75), "configured retry hint must round-trip");
 
@@ -299,7 +299,9 @@ fn model_variant_selection_per_request() {
 fn v2_models_lists_heads_and_variants() {
     let donn = model();
     let mut server = serve(&donn);
-    let (status, body) = client::request(server.addr(), "GET", "/v2/models", None).expect("get");
+    let (status, body) = client::Connection::connect(server.addr())
+        .and_then(|mut conn| conn.request("GET", "/v2/models", None))
+        .expect("get");
     assert_eq!(status, 200);
     let doc = Json::parse(&body).expect("valid JSON");
     assert_eq!(doc.get("default").and_then(Json::as_str), Some("ideal"));

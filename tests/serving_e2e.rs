@@ -1,18 +1,10 @@
 //! End-to-end serving tests: real TCP sockets, concurrent clients, and
 //! bit-identity between served logits and direct `Donn::logits` calls.
-//!
-//! The original tests deliberately stay on the deprecated
-//! `Server::bind`/`ServerConfig` entry points: they prove the legacy
-//! surface keeps compiling and behaving identically on top of the
-//! event-loop frontend. New tests use `ServerBuilder`.
-#![allow(deprecated)]
 
 use photonn::datasets::{Dataset, Family};
 use photonn::donn::{Donn, DonnConfig};
 use photonn::math::{Grid, Rng};
-use photonn::serve::{
-    client, BatchPolicy, Json, ModelRegistry, Server, ServerBuilder, ServerConfig,
-};
+use photonn::serve::{client, BatchPolicy, Client, Json, ModelRegistry, ServerBuilder};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
@@ -52,16 +44,15 @@ fn parse_logits(body: &str) -> Vec<f64> {
 #[test]
 fn concurrent_clients_receive_bit_identical_logits() {
     let donn = model();
-    let config = ServerConfig {
-        policy: BatchPolicy {
+    let mut server = ServerBuilder::new(registry(&donn))
+        .policy(BatchPolicy {
             max_batch: 8,
             max_wait_us: 3_000,
             queue_capacity: 256,
             threads: 2,
-        },
-        ..ServerConfig::default()
-    };
-    let mut server = Server::bind("127.0.0.1:0", registry(&donn), config).expect("bind");
+        })
+        .bind("127.0.0.1:0")
+        .expect("bind");
     let addr = server.addr();
 
     const CLIENTS: usize = 6;
@@ -128,16 +119,16 @@ fn concurrent_clients_receive_bit_identical_logits() {
 fn planar_backed_logits_bit_identical_to_direct_calls() {
     let mut rng = Rng::seed_from(41);
     let donn = Donn::random(DonnConfig::scaled(20), &mut rng);
-    let config = ServerConfig {
-        policy: BatchPolicy {
+    let mut server = ServerBuilder::new(registry(&donn))
+        .policy(BatchPolicy {
             max_batch: 4,
             max_wait_us: 0,
             queue_capacity: 64,
             threads: 2,
-        },
-        cache_budget_bytes: 8 << 20, // force the cache-assisted stack path
-    };
-    let mut server = Server::bind("127.0.0.1:0", registry(&donn), config).expect("bind");
+        })
+        .cache_budget_bytes(8 << 20) // force the cache-assisted stack path
+        .bind("127.0.0.1:0")
+        .expect("bind");
     let addr = server.addr();
 
     let data = Dataset::synthetic(Family::Mnist, 5, 41).resized(20);
@@ -173,16 +164,16 @@ fn planar_backed_logits_bit_identical_to_direct_calls() {
 #[test]
 fn full_queue_returns_429_and_parked_requests_complete() {
     let donn = model();
-    let config = ServerConfig {
-        policy: BatchPolicy {
+    let mut server = ServerBuilder::new(registry(&donn))
+        .policy(BatchPolicy {
             max_batch: 8,
             max_wait_us: 500_000, // park half a second waiting for a batch
             queue_capacity: 2,
             threads: 1,
-        },
-        cache_budget_bytes: 0,
-    };
-    let mut server = Server::bind("127.0.0.1:0", registry(&donn), config).expect("bind");
+        })
+        .cache_budget_bytes(0)
+        .bind("127.0.0.1:0")
+        .expect("bind");
     let addr = server.addr();
     let data = Dataset::synthetic(Family::Mnist, 3, 5).resized(GRID);
 
@@ -191,9 +182,10 @@ fn full_queue_returns_429_and_parked_requests_complete() {
         let image = data.image(i).clone();
         let donn = donn.clone();
         parked.push(std::thread::spawn(move || {
-            let (status, body) =
-                client::request(addr, "POST", "/v1/logits", Some(&logits_body(&image)))
-                    .expect("request");
+            let (status, body) = client::Connection::connect(addr)
+                .expect("connect")
+                .request("POST", "/v1/logits", Some(&logits_body(&image)))
+                .expect("request");
             assert_eq!(status, 200, "parked request failed: {body}");
             assert_eq!(parse_logits(&body), donn.logits(&image));
         }));
@@ -201,13 +193,10 @@ fn full_queue_returns_429_and_parked_requests_complete() {
         std::thread::sleep(Duration::from_millis(100));
     }
 
-    let (status, body) = client::request(
-        addr,
-        "POST",
-        "/v1/logits",
-        Some(&logits_body(data.image(2))),
-    )
-    .expect("request");
+    let (status, body) = client::Connection::connect(addr)
+        .expect("connect")
+        .request("POST", "/v1/logits", Some(&logits_body(data.image(2))))
+        .expect("request");
     assert_eq!(status, 429, "expected backpressure, got {status}: {body}");
     assert!(body.contains("queue full"), "unexpected body: {body}");
 
@@ -226,19 +215,20 @@ fn endpoints_and_error_paths() {
     let donn = model();
     let mut reg = registry(&donn);
     reg.register_quantized("q8", &donn, 8);
-    let mut server = Server::bind("127.0.0.1:0", reg, ServerConfig::default()).expect("bind");
+    let mut server = ServerBuilder::new(reg).bind("127.0.0.1:0").expect("bind");
     let addr = server.addr();
+    let mut api = Client::new(addr);
 
-    let (status, body) = client::request(addr, "GET", "/healthz", None).unwrap();
+    let (status, body) = api.request("GET", "/healthz", None).unwrap();
     assert_eq!((status, body.contains("ok")), (200, true));
 
-    let (status, body) = client::request(addr, "GET", "/models", None).unwrap();
+    let (status, body) = api.request("GET", "/models", None).unwrap();
     assert_eq!(status, 200);
     let doc = Json::parse(&body).unwrap();
     assert_eq!(doc.get("default").and_then(Json::as_str), Some("ideal"));
     assert_eq!(doc.get("models").and_then(Json::as_array).unwrap().len(), 2);
 
-    let (status, _) = client::request(addr, "GET", "/nope", None).unwrap();
+    let (status, _) = api.request("GET", "/nope", None).unwrap();
     assert_eq!(status, 404);
 
     let image = Grid::full(GRID, GRID, 0.5);
@@ -247,15 +237,19 @@ fn endpoints_and_error_paths() {
         ("image".into(), Json::numbers(image.as_slice())),
     ])
     .to_string();
-    let (status, text) = client::request(addr, "POST", "/v1/logits", Some(&body)).unwrap();
+    let (status, text) = api.request("POST", "/v1/logits", Some(&body)).unwrap();
     assert_eq!(status, 404);
     assert!(text.contains("unknown model"));
 
-    let (status, _) = client::request(addr, "POST", "/v1/logits", Some("{not json")).unwrap();
+    let (status, _) = api
+        .request("POST", "/v1/logits", Some("{not json"))
+        .unwrap();
     assert_eq!(status, 400);
 
     let wrong_shape = Json::object(vec![("image".into(), Json::numbers(&[0.0; 16]))]).to_string();
-    let (status, text) = client::request(addr, "POST", "/v1/logits", Some(&wrong_shape)).unwrap();
+    let (status, text) = api
+        .request("POST", "/v1/logits", Some(&wrong_shape))
+        .unwrap();
     assert_eq!(status, 400);
     assert!(text.contains("does not match"), "body: {text}");
 
@@ -265,7 +259,7 @@ fn endpoints_and_error_paths() {
         ("image".into(), Json::numbers(image.as_slice())),
     ])
     .to_string();
-    let (status, text) = client::request(addr, "POST", "/v1/logits", Some(&q_body)).unwrap();
+    let (status, text) = api.request("POST", "/v1/logits", Some(&q_body)).unwrap();
     assert_eq!(status, 200);
     let mut quantized = donn.clone();
     quantized.set_masks(
@@ -278,7 +272,9 @@ fn endpoints_and_error_paths() {
 
     server.shutdown();
     // After shutdown the port no longer answers.
-    assert!(client::request(addr, "GET", "/healthz", None).is_err());
+    assert!(client::Connection::connect(addr)
+        .and_then(|mut conn| conn.request("GET", "/healthz", None))
+        .is_err());
 }
 
 /// Reads one `Content-Length`-delimited HTTP response off a pipelined
